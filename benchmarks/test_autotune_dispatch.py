@@ -25,7 +25,6 @@ import time
 
 import numpy as np
 
-from repro.core.bitgemm import reduce_plane_products
 from repro.core.bitpack import tile_nonzero_mask
 from repro.plan import GemmSpec, autotune, bucket_for, default_registry
 from repro.plan.autotune import synthesize_operands
@@ -79,11 +78,9 @@ def _execute(items, picks) -> float:
     start = time.perf_counter()
     for (spec, _fraction, a_packed, b_packed, masks), name in zip(items, picks):
         backend = registry.get(name)
-        reduce_plane_products(
-            backend.run_planes(
-                a_packed, b_packed,
-                masks if backend.caps.consumes_tile_masks else None,
-            )
+        backend.run(
+            a_packed, b_packed,
+            masks if backend.caps.consumes_tile_masks else None,
         )
     return time.perf_counter() - start
 

@@ -10,8 +10,9 @@ Glue between the LoopIR pipeline and the rest of the system:
   kernel hits/compiles appear in the same telemetry surface as packed
   weights and compiled plans, and a second replay of the same plan
   performs zero compiles;
-* :func:`_run_codegen`, the registered ``run_planes`` implementation:
-  lower-or-hit, then call the compiled kernel;
+* :func:`_run_codegen`, the registered ``run`` implementation:
+  lower-or-hit, then call the compiled kernel (which returns the reduced
+  ``(M, N)`` product);
 * :func:`prepare_plan_kernels`, the serving engine's pre-execution hook
   that compiles a plan's aggregation kernels ahead of the GEMM window
   and reports ``plan_lower`` / ``kernel_compile`` seconds for the PAG;
@@ -209,7 +210,7 @@ def _run_codegen(
     b_packed: PackedBits,
     tile_masks: Sequence[np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Plane products through a plan-specialized compiled kernel.
+    """The exact product through a plan-specialized compiled kernel.
 
     1-bit left operands are executed through the skip-specialized kernel
     of their census (supplied ``tile_masks`` or balloted here, exactly
@@ -279,7 +280,7 @@ def codegen_backend() -> Backend:
     """A fresh instance of the ``codegen`` registry entry."""
     return Backend(
         name="codegen",
-        run_planes=_run_codegen,
+        run=_run_codegen,
         caps=BackendCaps(
             consumes_tile_masks=True,
             summary="LoopIR-lowered kernels compiled per plan "

@@ -45,7 +45,7 @@ __all__ = [
 
 #: Bumped whenever rendered-source semantics change, so stale cached
 #: kernels from an older emitter can never be replayed.
-EMIT_VERSION = 1
+EMIT_VERSION = 2
 
 
 class Stmt:

@@ -12,19 +12,19 @@ Three schedule transforms, applied while lowering:
   plane indices, so the emitted dense kernel is a straight line of
   per-pair statements.
 * **skip-loop specialization** (inside :func:`lower_gemm`): the
-  ``TileSkipPlan`` census is baked in at lowering time — tile rows with
-  identical non-zero-column patterns are grouped once (the ``np.unique``
-  the ``sparse`` engine repeats on every call), each group's row and
-  word index lists are precomputed into the program ``env``, and groups
-  whose indices form contiguous runs are emitted as pure slices.  The
-  kernel iterates exactly the precomputed non-zero work; there is no
-  runtime tile test left in the emitted source.
+  ``TileSkipPlan`` census is baked in at lowering time — for every live
+  128-bit k-tile column, the surviving tile rows are precomputed into
+  the program ``env`` (contiguous runs emitted as pure slices), and the
+  kernel multiplies only those rows' unpacked bits against B's codes,
+  one exact float BLAS call per live column.  There is no runtime tile
+  test left in the emitted source.
 
-Both GEMM paths additionally *widen* the packed uint32 words to uint64
-views (``widen-words:u64``) — the AND + popcount stream processes half
-the elements per bit of work, a schedule the hand-written engines do not
-apply — and vectorize over all B planes through one N-contiguous
-transpose per call instead of per-group gathers.
+The dense schedule stays bit-serial and *widens* the packed uint32 words
+to uint64 views (``widen-words:u64``) — the AND + popcount stream
+processes half the elements per bit of work, a schedule the hand-written
+engines do not apply.  Like every backend, the emitted kernels return the
+reduced ``(M, N)`` product: B's planes (skip schedule) or each plane-pair
+product (dense schedule) shift-accumulate inside the kernel.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.bitgemm import exact_matmul_plan
 from ..core.bitpack import TC_K, TC_M, pad_to
 from ..core.bitops import WORD_BITS
 from ..errors import ShapeError
@@ -121,19 +122,22 @@ def lower_gemm(
     tile_mask: np.ndarray | None = None,
     name: str = "gemm_kernel",
 ) -> Program:
-    """Lower one plane-product GEMM into a specialized program.
+    """Lower one GEMM into a specialized program.
 
-    The emitted function has the backend ``run_planes`` calling
-    convention restricted to raw words: ``fn(a_words, b_words)`` with
-    ``a_words`` of shape ``(bits_a, a_padded_vectors, a_k_words)`` and
-    ``b_words`` of shape ``(bits_b, padded_n, a_k_words)`` (both
-    C-contiguous uint32), returning the int64 plane products
-    ``(bits_a, bits_b, m, n)`` on the logical shapes.
+    The emitted function has the backend ``run`` calling convention
+    restricted to raw words: ``fn(a_words, b_words)`` with ``a_words`` of
+    shape ``(bits_a, a_padded_vectors, a_k_words)`` and ``b_words`` of
+    shape ``(bits_b, padded_n, a_k_words)`` (both C-contiguous uint32),
+    returning the reduced int64 ``(m, n)`` product on the logical shapes.
 
     With ``tile_mask`` (1-bit left operands only) the census is baked in
-    as a skip-loop specialization; otherwise the dense unrolled schedule
-    is used.  Every shape, bitwidth and index constant is a literal in
-    the emitted source.
+    as a skip-loop specialization: B's codes are recombined in the kernel
+    and only the live k-tile columns of A are multiplied, like the host
+    ``blas`` fast path but with zero tiles jumped.  Otherwise the dense
+    unrolled schedule is used, which stays bit-serial — AND + popcount
+    per plane pair, shift-accumulated at bit position ``i + j`` inside the
+    emitted loop, the compiled form of paper §3/§4.  Every shape, bitwidth
+    and index constant is a literal in the emitted source.
     """
     if a_k_words % 4:
         raise ShapeError(f"k-word count {a_k_words} is not a whole tile column")
@@ -151,7 +155,7 @@ def lower_gemm(
             name=name,
             args=("a_words", "b_words"),
             body=(
-                Line(f"return np.zeros(({bits_a}, {bits_b}, {m}, {n}), dtype=np.int64)"),
+                Line(f"return np.zeros(({m}, {n}), dtype=np.int64)"),
             ),
             schedule=("degenerate-empty",),
         )
@@ -194,19 +198,20 @@ def _lower_gemm_dense(
     name: str,
     fallback: bool = False,
 ) -> Program:
-    """The dense schedule: unrolled plane pairs of row-blocked AND+popcount."""
+    """The dense schedule: unrolled plane pairs of row-blocked AND+popcount,
+    shift-accumulated into one output."""
     w2 = a_k_words // 2
     rb = _row_block(m, bytes_per_row=n * w2 * _TEMP_BYTES_PER_ELEM)
     product = Line(
-        f"out[ai, bj, r0:r0 + {rb}] = popcount64("
+        f"out[r0:r0 + {rb}] += popcount64("
         f"ap[r0:r0 + {rb}, None, :] & bp[None, :, :]"
-        ").sum(axis=-1, dtype=np.int64)"
+        ").sum(axis=-1, dtype=np.int64) << (ai + bj)"
     )
     row_loop = _strided_loop("r0", 0, m, rb, (product,))
     body: tuple[Stmt, ...] = (
         Line("a64 = a_words.view(np.uint64)"),
         Line("b64 = b_words.view(np.uint64)"),
-        Line(f"out = np.empty(({bits_a}, {bits_b}, {m}, {n}), dtype=np.int64)"),
+        Line(f"out = np.zeros(({m}, {n}), dtype=np.int64)"),
         Loop(
             var="ai",
             count=bits_a,
@@ -271,39 +276,53 @@ def _lower_gemm_skip(
 ) -> Program | None:
     """Skip-loop specialization of a censused 1-bit left operand.
 
-    Returns ``None`` when the census has more distinct tile-row patterns
-    than :data:`GROUP_UNROLL_LIMIT` (the caller falls back to dense).
+    The census fixes, per live 128-bit k-tile column, which tile rows
+    survive the ballot; those row lists are baked in and the kernel
+    multiplies only them — each column's surviving rows, unpacked, times
+    the matching 128 rows of B's recombined codes, one exact float BLAS
+    call per live column, accumulated into the output.  Zero tiles are
+    never unpacked or multiplied (§4.3 zero-tile jumping on the host fast
+    path); B's planes are shift-accumulated into its codes inside the
+    kernel.
+
+    Returns ``None`` — the caller falls back to dense — when the census
+    has more distinct tile-row patterns than :data:`GROUP_UNROLL_LIMIT`,
+    or when the product is too deep for one exact float matmul.
     """
     mask = np.ascontiguousarray(np.asarray(tile_mask, dtype=bool))
-    patterns, inverse = np.unique(mask, axis=0, return_inverse=True)
-    live = [g for g in range(len(patterns)) if patterns[g].any()]
-    if len(live) > GROUP_UNROLL_LIMIT:
+    patterns = census_pattern_count(mask)
+    if patterns > GROUP_UNROLL_LIMIT:
         return None
+    plan = exact_matmul_plan(a_k_words * WORD_BITS, 1, bits_b)
+    if plan.matmuls != 1:
+        return None
+    dtype = f"np.{plan.dtype.name}"
     env: dict[str, np.ndarray] = {}
     body: list[Stmt] = [
-        Line("a64 = a_words[0].view(np.uint64)"),
+        Line("a8 = a_words[0].view(np.uint8)"),
         Line(
-            "bT = np.ascontiguousarray("
-            f"b_words.view(np.uint64).transpose(0, 2, 1)[:, :, :{n}])"
+            f"bits = np.unpackbits(b_words[:, :{n}].view(np.uint8), "
+            "axis=-1, bitorder='little')"
         ),
-        Line(f"out = np.zeros((1, {bits_b}, {a_padded_vectors}, {n}), dtype=np.int64)"),
-        Line("o = out[0]"),
+        *_recombine_stmts(bits_b),
+        Line(f"bk = np.ascontiguousarray(codes.T, dtype={dtype})"),
+        Line(f"out = np.zeros(({a_padded_vectors}, {n}), dtype={dtype})"),
     ]
-    sliced_groups = 0
-    for g in live:
-        tile_rows = np.flatnonzero(inverse == g)
+    columns = [c for c in range(mask.shape[1]) if mask[:, c].any()]
+    sliced = 0
+    for c in columns:
+        tile_rows = np.flatnonzero(mask[:, c])
         rows = (tile_rows[:, None] * 8 + np.arange(8)).ravel()
-        cols = np.flatnonzero(patterns[g])
-        words = (cols[:, None] * 2 + np.arange(2)).ravel()  # uint64 words
-        group, sliced = _group_stmts(g, rows, words, bits_b=bits_b, n=n, env=env)
-        sliced_groups += sliced
-        body.append(group)
-    body.append(Line(f"return out[:, :, :{m}, :]"))
+        block, is_slice = _column_stmts(c, rows, n=n, dtype=dtype, env=env)
+        sliced += is_slice
+        body.append(block)
+    body.append(Line(f"return out[:{m}].astype(np.int64)"))
     schedule = (
         "fuse-b-planes",
-        "widen-words:u64",
-        f"specialize-skip-loop:groups={len(live)}",
-        f"contiguous-slices:{sliced_groups}/{len(live)}",
+        f"recombine-b-codes:{plan.dtype.name}",
+        f"specialize-skip-loop:groups={patterns}",
+        f"blas-live-columns:{len(columns)}/{mask.shape[1]}",
+        f"contiguous-slices:{sliced}/{len(columns)}",
         "unroll-bit-planes:1",
     )
     return Program(
@@ -315,70 +334,53 @@ def _lower_gemm_skip(
     )
 
 
-def _group_stmts(
-    g: int,
+def _recombine_stmts(bits_b: int) -> list[Stmt]:
+    """Statements shift-accumulating the unpacked B planes ``bits`` into
+    the codes matrix ``codes`` (planes unrolled to literal shifts)."""
+    if bits_b == 1:
+        return [Line("codes = bits[0]")]
+    acc = np.min_scalar_type((1 << bits_b) - 1).name
+    return [Line(f"codes = bits[0].astype(np.{acc})")] + [
+        Line(f"codes |= bits[{j}].astype(np.{acc}) << {j}")
+        for j in range(1, bits_b)
+    ]
+
+
+def _column_stmts(
+    c: int,
     rows: np.ndarray,
-    words: np.ndarray,
     *,
-    bits_b: int,
     n: int,
+    dtype: str,
     env: dict[str, np.ndarray],
 ) -> tuple[Block, int]:
-    """Emit one census group's statements; returns (block, fully_sliced)."""
-    row_run = _contiguous_run(rows)
-    word_run = _contiguous_run(words)
-    wg = int(words.size)
-    if word_run is not None:
-        w_lo, w_hi = word_run
-        b_expr = f"bT[:, None, {w_lo}:{w_hi}, :]"
+    """Emit one live k-tile column's statements; returns (block, sliced)."""
+    run = _contiguous_run(rows)
+    # Unpacked uint8 bits + float operand + float partial product per row.
+    rb = _row_block(int(rows.size), bytes_per_row=TC_K * 5 + n * 8)
+    words = f"{c * TC_K // 8}:{(c + 1) * TC_K // 8}"
+    b_rows = f"bk[{c * TC_K}:{(c + 1) * TC_K}]"
 
-        def a_words_expr(rows_expr: str) -> str:
-            return f"a64[{rows_expr}, {w_lo}:{w_hi}]"
+    def product(rows_expr: str) -> Line:
+        return Line(
+            f"out[{rows_expr}] += np.unpackbits(a8[{rows_expr}, {words}], "
+            f"axis=-1, bitorder='little').astype({dtype}) @ {b_rows}"
+        )
 
-    else:
-        w_name = f"g{g}_w"
-        env[w_name] = np.ascontiguousarray(words.astype(np.intp))
-        b_expr = f"bT[:, {w_name}][:, None]"
-
-        def a_words_expr(rows_expr: str) -> str:
-            return f"a64[{rows_expr}][:, {w_name}]"
-
-    rb = _row_block(int(rows.size), bytes_per_row=bits_b * wg * n * _TEMP_BYTES_PER_ELEM)
-    stmts: list[Stmt] = []
-    label = f"census group {g}: {rows.size} rows x {wg} u64 words"
-    fully_sliced = 1 if (row_run is not None and word_run is not None) else 0
-    blk = (
-        "blk = popcount64({a}[None, :, :, None] & {b})"
-        ".sum(axis=2, dtype=np.int64)"
-    )
-    if row_run is not None:
-        r_lo, r_hi = row_run
+    label = f"k-tile column {c}: {rows.size} surviving rows"
+    if run is not None:
+        r_lo, r_hi = run
         if r_hi - r_lo <= rb:
-            stmts.append(Line(blk.format(a=a_words_expr(f"{r_lo}:{r_hi}"), b=b_expr)))
-            stmts.append(Line(f"o[:, {r_lo}:{r_hi}, :] = blk"))
-        else:
-            inner = (
-                # Clamp the last block to the group's own rows: running
-                # past r_hi would compute (and store) other groups' rows.
-                Line(f"r1 = min(r0 + {rb}, {r_hi})"),
-                Line(blk.format(a=a_words_expr("r0:r1"), b=b_expr)),
-                Line("o[:, r0:r1, :] = blk"),
-            )
-            stmts.append(_strided_loop("r0", r_lo, r_hi, rb, inner))
-    else:
-        r_name = f"g{g}_r"
-        env[r_name] = np.ascontiguousarray(rows.astype(np.intp))
-        if rows.size <= rb:
-            stmts.append(Line(blk.format(a=a_words_expr(r_name), b=b_expr)))
-            stmts.append(Line(f"o[:, {r_name}, :] = blk"))
-        else:
-            inner = (
-                Line(f"gr = {r_name}[r0:r0 + {rb}]"),
-                Line(blk.format(a=a_words_expr("gr"), b=b_expr)),
-                Line("o[:, gr, :] = blk"),
-            )
-            stmts.append(_strided_loop("r0", 0, int(rows.size), rb, inner))
-    return Block(label, tuple(stmts)), fully_sliced
+            return Block(label, (product(f"{r_lo}:{r_hi}"),)), 1
+        # Clamp the last block to the column's own rows.
+        inner = (Line(f"r1 = min(r0 + {rb}, {r_hi})"), product("r0:r1"))
+        return Block(label, (_strided_loop("r0", r_lo, r_hi, rb, inner),)), 1
+    r_name = f"c{c}_r"
+    env[r_name] = np.ascontiguousarray(rows.astype(np.intp))
+    if rows.size <= rb:
+        return Block(label, (product(r_name),)), 0
+    inner = (Line(f"gr = {r_name}[r0:r0 + {rb}]"), product("gr"))
+    return Block(label, (_strided_loop("r0", 0, int(rows.size), rb, inner),)), 0
 
 
 # --------------------------------------------------------------------- #

@@ -10,34 +10,43 @@ Algorithm 1):
     C = \\sum_{i<s} \\sum_{j<t} \\mathrm{BMM}(A_i, B_j) \\ll (i + j)
 
 Each 1-bit GEMM is an AND + popcount over the packed K dimension
-(paper Eq. 7).  Two interchangeable engines compute it:
+(paper Eq. 7).
+
+Every backend honours one contract: ``run(a_packed, b_packed,
+tile_masks)`` returns the *reduced*, exact ``(M, N)`` int64 product —
+never a stack of plane products.  How it gets there differs:
 
 * ``"packed"`` — word-at-a-time ``popcount(a & b)`` on the uint32 storage,
-  exactly what the emulated Tensor Core executes.  Memory-blocked.
-* ``"blas"`` — unpack the planes to float32 and use BLAS ``matmul``.  Exact
-  for any K below 2^24 (a 0/1 dot product is an integer that float32
-  represents exactly) and much faster for large matrices.
+  exactly what the emulated Tensor Core executes, each plane pair
+  shift-accumulated into the output as it is produced.  Memory-blocked.
 * ``"sparse"`` — the host realization of the paper's §4.3 zero-tile
   jumping: census the ``8 x 128`` tiles of the left operand once, then
   compute only the non-zero ones (gather the surviving k-tiles of each
-  row group, AND+popcount, scatter the row block back).  Bit-identical to
-  ``"packed"`` because all-zero tiles contribute nothing to any AND+popcount
-  dot product; much faster when the operand is tile-sparse — e.g. the
-  block-diagonal adjacency of a coalesced serving batch, where roughly
-  ``1/members`` of the tiles survive.
-* ``"einsum"`` — bit-serial: unpack both operands to 0/1 planes and form
-  every pairwise plane product in a single int64 ``np.einsum``
-  contraction.  Exact for the low bitwidths it is registered for, and
-  free of the per-plane-pair dispatch loop, which is where it can win on
-  small products; mostly it widens the autotuner's search space
-  (:mod:`repro.plan.autotune`).
+  row group, AND+popcount, shift-accumulate, scatter the row block back).
+  Bit-identical to ``"packed"`` because all-zero tiles contribute nothing
+  to any AND+popcount dot product; much faster when the operand is
+  tile-sparse — e.g. the block-diagonal adjacency of a coalesced serving
+  batch, where roughly ``1/members`` of the tiles survive.
+* ``"blas"`` — the host fast path.  Since
+  ``sum_ij 2^(i+j) A_i B_j = A @ B``, it recombines each operand's codes
+  from its planes (:func:`recombine_codes`) and multiplies them *once*
+  (:func:`bitgemm_recombined`), in the narrowest float dtype whose
+  exactness bound ``K (2^s - 1)(2^t - 1)`` the product fits
+  (:func:`exact_matmul_plan`), splitting the bits into chunks only when
+  even float64 cannot hold it.
+* ``"einsum"`` — one int64 ``np.einsum`` contraction over the recombined
+  codes: exact at any bitwidth, BLAS-free.
 
+``packed``, ``sparse`` and the TC emulator's
+:meth:`~repro.tc.kernel.BitGemmKernel.run_tile_loop` remain the faithful
+bit-serial form of §3/§4; the modeled device time
+(:mod:`repro.tc.costmodel`) prices that form whichever host engine runs.
 All engines are tested against each other and against an int64 reference.
 
 Engines are *registered objects*: each lives in the
 :class:`~repro.plan.registry.BackendRegistry` as a
 :class:`~repro.plan.registry.Backend` carrying capability metadata and a
-cost pricer (see :mod:`repro.plan.backends` for the three built-ins).  The
+cost pricer (see :mod:`repro.plan.backends` for the built-ins).  The
 ``engine=`` parameters here are a compatibility shim over that registry:
 they accept the literal names above, any custom backend name registered
 via :func:`repro.plan.register_backend`, *or* an :data:`EngineSelector` —
@@ -52,6 +61,7 @@ as executable documentation; the test-suite uses them as independent oracles.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence, Union
 
 import numpy as np
@@ -68,16 +78,18 @@ __all__ = [
     "ENGINE_NAMES",
     "Engine",
     "EngineSelector",
+    "ExactMatmulPlan",
     "scalar_mul_decomposed",
     "vector_dot_decomposed",
     "bmm_plane_packed",
     "bmm_plane_packed_sparse",
     "bmm_plane_blas",
-    "bitgemm_planes",
     "bitgemm",
     "bitgemm_codes",
+    "bitgemm_recombined",
+    "exact_matmul_plan",
     "matmul_int_reference",
-    "reduce_plane_products",
+    "recombine_codes",
 ]
 
 #: A pluggable engine chooser: ``(m, k, n, bits_a, bits_b) -> engine name``.
@@ -223,12 +235,12 @@ def bmm_plane_packed_sparse(
                 f"tile mask shape {tile_mask.shape} does not match the "
                 f"{(rows // 8, kwords // 4)} tile grid of the plane"
             )
-    return _sparse_plane_products(
+    return _sparse_shift_products(
         a_words, b_words[None, :, :], tile_mask, row_block=row_block
-    )[0]
+    )
 
 
-def _sparse_plane_products(
+def _sparse_shift_products(
     a_words: np.ndarray,
     b_planes: np.ndarray,
     tile_mask: np.ndarray,
@@ -236,20 +248,22 @@ def _sparse_plane_products(
     row_block: int = _PACKED_ROW_BLOCK,
 ) -> np.ndarray:
     """One packed A plane against a stack of packed B planes, zero tiles
-    skipped.
+    skipped, B planes shift-accumulated.
 
-    ``b_planes`` is ``(bits_b, N, W)``; returns ``(bits_b, rows, N)``.
-    Shared core of the ``sparse`` engine: computing every B bit plane inside
-    one gather amortizes the per-call overhead that dominates tiny
-    tile-group products (the host analogue of §4.4's load-A-once schedule).
+    ``b_planes`` is ``(bits_b, N, W)``; returns the ``(rows, N)`` int64
+    ``sum_j BMM(A, B_j) << j``.  Shared core of the ``sparse`` engine:
+    computing every B bit plane inside one gather amortizes the per-call
+    overhead that dominates tiny tile-group products (the host analogue
+    of §4.4's load-A-once schedule).
     """
     rows, kwords = a_words.shape
     bits_b, n = b_planes.shape[0], b_planes.shape[1]
-    out = np.zeros((bits_b, rows, n), dtype=np.int64)
+    out = np.zeros((rows, n), dtype=np.int64)
     if not tile_mask.any() or n == 0:
         return out
     a_tiles = a_words.reshape(rows // 8, 8, kwords // 4, 4)
     b_tiles = b_planes.reshape(bits_b, n, kwords // 4, 4)
+    shifts = np.arange(bits_b, dtype=np.int64)[:, None, None]
     # Tile rows sharing an active-tile set are processed in one gather — a
     # block-diagonal batch collapses to roughly one group per member.
     masks, inverse = np.unique(tile_mask, axis=0, return_inverse=True)
@@ -273,9 +287,12 @@ def _sparse_plane_products(
         block = max(8, (row_block * kwords) // max(bits_b * awords, 1))
         for start in range(0, row_idx.size, block):
             stop = min(start + block, row_idx.size)
-            out[:, row_idx[start:stop]] = popcount(
+            counts = popcount(
                 a_sel[None, start:stop, :, None] & b_sel[:, None, :, :]
             ).sum(axis=2, dtype=np.int64)
+            out[row_idx[start:stop]] = (
+                counts[0] if bits_b == 1 else (counts << shifts).sum(axis=0)
+            )
     return out
 
 
@@ -293,6 +310,145 @@ def bmm_plane_blas(a_plane: np.ndarray, b_plane: np.ndarray) -> np.ndarray:
     if a.shape[-1] >= (1 << 24):
         raise ShapeError("K too large for exact float32 accumulation")
     return (a.astype(np.float32) @ b.astype(np.float32).T).astype(np.int64)
+
+
+#: Exactness limits of the float matmul dtypes, narrowest first: a sum of
+#: non-negative integer products whose total stays below the limit is
+#: exact in any summation order (every partial sum is an integer the dtype
+#: represents), so BLAS blocking and FMA cannot perturb it.
+_EXACT_FLOAT_LIMITS = (
+    (np.dtype(np.float32), 1 << 24),
+    (np.dtype(np.float64), 1 << 53),
+)
+
+
+@dataclass(frozen=True)
+class ExactMatmulPlan:
+    """How :func:`bitgemm_recombined` multiplies one product exactly.
+
+    ``chunks_a`` / ``chunks_b`` are the half-open bit ranges ``(lo, hi)``
+    each operand's codes are recombined over; one ``(0, bits)`` range per
+    side means a single matmul of the full codes.
+    """
+
+    dtype: np.dtype
+    chunks_a: tuple[tuple[int, int], ...]
+    chunks_b: tuple[tuple[int, int], ...]
+
+    @property
+    def matmuls(self) -> int:
+        """Float matmuls the product costs (chunk pairs)."""
+        return len(self.chunks_a) * len(self.chunks_b)
+
+    def code_bytes(self, m: int, k: int, n: int) -> int:
+        """Bytes of the recombined code matrices the plan materializes."""
+        return self.dtype.itemsize * k * (
+            m * len(self.chunks_a) + n * len(self.chunks_b)
+        )
+
+
+def _exact_bound(k: int, bits_a: int, bits_b: int) -> int:
+    """Largest possible entry of a K-deep ``bits_a x bits_b`` code product."""
+    return k * ((1 << bits_a) - 1) * ((1 << bits_b) - 1)
+
+
+def _split_bits(bits: int, width: int) -> tuple[tuple[int, int], ...]:
+    """Split ``bits`` planes into the fewest balanced ranges of at most
+    ``width`` planes each."""
+    count = -(-bits // width)
+    edges = [i * bits // count for i in range(count + 1)]
+    return tuple(zip(edges[:-1], edges[1:]))
+
+
+def exact_matmul_plan(k: int, bits_a: int, bits_b: int) -> ExactMatmulPlan:
+    """The narrowest exact float matmul for a K-deep ``bits_a x bits_b``
+    product.
+
+    Derived from the operands alone, through the bound
+    ``K (2^bits_a - 1)(2^bits_b - 1)``: float32 below 2^24 (so 1-bit
+    products keep the speed of a plain float32 BLAS call), float64 below
+    2^53, and above that the bits of each operand split into the fewest
+    chunk pairs whose own bound stays below 2^53 — their float64 products
+    are exact and shift-accumulate in int64.
+    """
+    if k < 0 or bits_a < 1 or bits_b < 1:
+        raise ShapeError(f"invalid product K={k}, bits {bits_a}x{bits_b}")
+    for dtype, limit in _EXACT_FLOAT_LIMITS:
+        if _exact_bound(k, bits_a, bits_b) < limit:
+            return ExactMatmulPlan(dtype, ((0, bits_a),), ((0, bits_b),))
+    dtype, limit = _EXACT_FLOAT_LIMITS[-1]
+    best: tuple[int, int, int] | None = None
+    for width_a in range(1, bits_a + 1):
+        for width_b in range(1, bits_b + 1):
+            if _exact_bound(k, width_a, width_b) >= limit:
+                continue
+            pairs = -(-bits_a // width_a) * -(-bits_b // width_b)
+            if best is None or pairs < best[0]:
+                best = (pairs, width_a, width_b)
+    if best is None:
+        raise ShapeError(f"K={k} too large for exact float64 accumulation")
+    return ExactMatmulPlan(
+        dtype, _split_bits(bits_a, best[1]), _split_bits(bits_b, best[2])
+    )
+
+
+def recombine_codes(
+    packed: PackedBits,
+    dtype: np.dtype | type = np.int64,
+    planes: tuple[int, int] | None = None,
+) -> np.ndarray:
+    """Integer codes recombined from packed bit planes ``[lo, hi)``.
+
+    Returns ``sum_{lo<=p<hi} plane_p << (p - lo)`` on the logical
+    ``(logical_vectors, logical_k)`` grid — the rows of ``A`` for a
+    column-compressed operand, the columns of ``B`` (``B`` transposed) for
+    a row-compressed one — cast to ``dtype``.  ``planes`` defaults to
+    every plane.
+    """
+    lo, hi = (0, packed.bits) if planes is None else planes
+    if not 0 <= lo < hi <= packed.bits:
+        raise ShapeError(f"plane range {(lo, hi)} outside [0, {packed.bits})")
+    words = np.ascontiguousarray(packed.words[lo:hi, : packed.logical_vectors])
+    bits = np.unpackbits(
+        words.view(np.uint8), axis=-1, count=packed.logical_k, bitorder="little"
+    )
+    if hi - lo == 1:
+        return bits[0].astype(dtype)
+    acc = np.min_scalar_type((1 << (hi - lo)) - 1)
+    codes = bits[0].astype(acc)
+    shifted = np.empty_like(codes)
+    for p in range(1, hi - lo):
+        np.left_shift(bits[p], p, out=shifted, dtype=acc)
+        codes |= shifted
+    return codes.astype(dtype, copy=False)
+
+
+def bitgemm_recombined(a_packed: PackedBits, b_packed: PackedBits) -> np.ndarray:
+    """The exact int64 product as *one* float matmul of recombined codes.
+
+    ``sum_ij 2^(i+j) BMM(A_i, B_j)`` is just ``A @ B``, so instead of
+    ``bits_a * bits_b`` plane GEMMs this recombines each operand's codes
+    and multiplies them once, in the dtype :func:`exact_matmul_plan`
+    derives from ``K`` and the bitwidths (chunk pairs shift-accumulate
+    when even float64 cannot hold the product).  The host fast path of
+    the ``blas`` engine; the bit-serial engines keep the paper's
+    decomposed form.
+    """
+    plan = exact_matmul_plan(a_packed.logical_k, a_packed.bits, b_packed.bits)
+    if plan.matmuls == 1:
+        a = recombine_codes(a_packed, plan.dtype)
+        b = recombine_codes(b_packed, plan.dtype)
+        return (a @ b.T).astype(np.int64)
+    out = np.zeros((a_packed.logical_vectors, b_packed.logical_vectors), np.int64)
+    b_chunks = [
+        (lo, recombine_codes(b_packed, plan.dtype, (lo, hi)))
+        for lo, hi in plan.chunks_b
+    ]
+    for a_lo, a_hi in plan.chunks_a:
+        a = recombine_codes(a_packed, plan.dtype, (a_lo, a_hi))
+        for b_lo, b in b_chunks:
+            out += (a @ b.T).astype(np.int64) << (a_lo + b_lo)
+    return out
 
 
 def _resolve_backend(
@@ -321,7 +477,7 @@ def _resolve_backend(
     return registry.get(resolve_engine_name(engine, spec, registry))
 
 
-def bitgemm_planes(
+def bitgemm(
     a_packed: PackedBits,
     b_packed: PackedBits,
     *,
@@ -329,21 +485,16 @@ def bitgemm_planes(
     tile_masks: Sequence[np.ndarray] | None = None,
     registry: "BackendRegistry | None" = None,
 ) -> np.ndarray:
-    """All pairwise 1-bit plane products of two packed matrices.
+    """Any-bitwidth GEMM of two packed matrices (Algorithm 1).
 
-    Returns an int64 array of shape ``(bits_a, bits_b, M, N)`` where entry
-    ``[i, j]`` is ``BMM(A_i, B_j)`` on the *logical* (unpadded) shapes.
-    Exposed separately from :func:`bitgemm` because Algorithm 1 stores these
-    partial bit-matrices before the shift-add reduction, and the kernel
-    emulator reuses this decomposition for its cross-bit/cross-tile
-    schedules.
-
-    Dispatches to a registered backend (:mod:`repro.plan.backends` holds
-    the built-ins) resolved from ``engine``.  ``tile_masks`` optionally
-    supplies one precomputed non-zero-tile census per A plane (e.g. from a
-    serving session's tile-mask cache); consumed by backends whose caps
-    declare ``consumes_tile_masks`` (the ``sparse`` engine), ignored by
-    the others.
+    Returns the exact int64 product of the underlying integer matrices,
+    shape ``(M, N)`` on the *logical* (unpadded) shapes, from the
+    registered backend (:mod:`repro.plan.backends` holds the built-ins)
+    resolved from ``engine``.  ``tile_masks`` optionally supplies one
+    precomputed non-zero-tile census per A plane (e.g. from a serving
+    session's tile-mask cache); consumed by backends whose caps declare
+    ``consumes_tile_masks`` (the ``sparse`` engine), ignored by the
+    others.
     """
     if a_packed.layout != "col":
         raise PackingError("left operand must use column-wise compression")
@@ -360,36 +511,7 @@ def bitgemm_planes(
             f"got {len(tile_masks)}"
         )
     backend = _resolve_backend(engine, a_packed, b_packed, registry)
-    return backend.run_planes(a_packed, b_packed, tile_masks)
-
-
-def reduce_plane_products(partial: np.ndarray) -> np.ndarray:
-    """Shift-add a ``(bits_a, bits_b, M, N)`` plane-product stack into the
-    exact int64 GEMM result (the reduction step of Algorithm 1)."""
-    bits_a, bits_b = partial.shape[0], partial.shape[1]
-    shifts = np.arange(bits_a)[:, None] + np.arange(bits_b)[None, :]
-    weights = (np.int64(1) << shifts.astype(np.int64))[:, :, None, None]
-    return np.sum(partial * weights, axis=(0, 1), dtype=np.int64)
-
-
-def bitgemm(
-    a_packed: PackedBits,
-    b_packed: PackedBits,
-    *,
-    engine: Engine = "auto",
-    tile_masks: Sequence[np.ndarray] | None = None,
-    registry: "BackendRegistry | None" = None,
-) -> np.ndarray:
-    """Any-bitwidth GEMM: shift-add all plane products (Algorithm 1).
-
-    Returns the exact int64 product of the underlying integer matrices,
-    shape ``(M, N)``.  ``tile_masks`` forwards precomputed per-plane tile
-    censuses to the ``sparse`` engine (see :func:`bitgemm_planes`).
-    """
-    partial = bitgemm_planes(
-        a_packed, b_packed, engine=engine, tile_masks=tile_masks, registry=registry
-    )
-    return reduce_plane_products(partial)
+    return backend.run(a_packed, b_packed, tile_masks)
 
 
 def bitgemm_codes(

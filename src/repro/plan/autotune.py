@@ -78,8 +78,12 @@ NO_CENSUS_BAND = -1
 #: Fractions below ``2**-MAX_FRACTION_BAND`` all share the sparsest band.
 MAX_FRACTION_BAND = 6
 
-#: On-disk schema version of :meth:`DispatchTable.save`.
-TABLE_FORMAT_VERSION = 1
+#: On-disk schema version of :meth:`DispatchTable.save`.  Also bumped when
+#: a backend's measured cost changes meaning under the same name: version 2
+#: is the reduced-product GEMM contract (``blas`` multiplies recombined
+#: codes once), so a version-1 table's plane-pair ``blas`` medians — up to
+#: 35x too slow — load as an empty table instead of seeding the dispatcher.
+TABLE_FORMAT_VERSION = 2
 
 #: Timing samples retained per (bucket, backend) — enough for a stable
 #: median while letting online feedback age out stale measurements.
@@ -478,7 +482,8 @@ class DispatchTable:
     # Persistence
     # ------------------------------------------------------------------ #
     def to_payload(self) -> dict:
-        """JSON-serializable form of the table (schema ``version`` 1)."""
+        """JSON-serializable form of the table (schema
+        :data:`TABLE_FORMAT_VERSION`)."""
         with self._lock:
             return self._payload_locked()
 

@@ -1,13 +1,21 @@
 """The built-in host backends (``packed``, ``blas``, ``sparse``, ``einsum``).
 
-The plane-product loops that used to be inline branches of
-:func:`repro.core.bitgemm.bitgemm_planes` are expressed here as registry
-entries: each :class:`~repro.plan.registry.Backend` couples the
-implementation (built on the low-level kernels that remain in
-:mod:`repro.core.bitgemm`) with its capability metadata and the cost
-pricer the serving dispatcher consults.  Pricers consume the calibrated
-:class:`~repro.plan.rates.HostRates`, so per-machine recalibration is a
-value, not a subclass.
+Each :class:`~repro.plan.registry.Backend` couples an implementation
+(built on the low-level kernels in :mod:`repro.core.bitgemm`) with its
+capability metadata and the cost pricer the serving dispatcher consults.
+Every implementation returns the reduced, exact ``(M, N)`` int64 product:
+
+* the host fast path — ``blas`` (and ``tensorcore8``, the same arithmetic
+  under the modeled device price) — recombines each operand's codes from
+  its planes and multiplies them once, in the dtype the exactness bound
+  ``K (2^bits_a - 1)(2^bits_b - 1)`` allows;
+* the bit-serial engines — ``packed`` and ``sparse`` — keep the paper's
+  §3/§4 structure, shift-accumulating each plane product into the output
+  inside their own loops (no ``bits_a x bits_b`` stack is allocated);
+* ``einsum`` and ``csr`` contract recombined codes in exact int64.
+
+Pricers consume the calibrated :class:`~repro.plan.rates.HostRates`, so
+per-machine recalibration is a value, not a subclass.
 """
 
 from __future__ import annotations
@@ -17,7 +25,14 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.bitgemm import _sparse_plane_products, bmm_plane_packed
+from ..core.bitgemm import (
+    ExactMatmulPlan,
+    _sparse_shift_products,
+    bitgemm_recombined,
+    bmm_plane_packed,
+    exact_matmul_plan,
+    recombine_codes,
+)
 from ..core.bitpack import PackedBits, tile_nonzero_mask
 from ..errors import ShapeError
 from .registry import Backend, BackendCaps, BackendPrice, PriceContext
@@ -40,20 +55,21 @@ def _scipy_sparse():
 
 
 # --------------------------------------------------------------------- #
-# Plane-product implementations
+# GEMM implementations
 # --------------------------------------------------------------------- #
 def _run_packed(
     a_packed: PackedBits,
     b_packed: PackedBits,
     tile_masks: Sequence[np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Word-at-a-time AND+popcount on the packed words (ignores masks)."""
+    """Word-at-a-time AND+popcount on the packed words, each plane pair
+    shift-accumulated at bit position ``i + j`` (ignores masks)."""
     m, n = a_packed.logical_vectors, b_packed.logical_vectors
-    out = np.empty((a_packed.bits, b_packed.bits, m, n), dtype=np.int64)
+    out = np.zeros((m, n), dtype=np.int64)
     for i in range(a_packed.bits):
+        a_plane = a_packed.plane(i)[:m]
         for j in range(b_packed.bits):
-            full = bmm_plane_packed(a_packed.plane(i), b_packed.plane(j))
-            out[i, j] = full[:m, :n]
+            out += bmm_plane_packed(a_plane, b_packed.plane(j)[:n]) << (i + j)
     return out
 
 
@@ -62,16 +78,9 @@ def _run_blas(
     b_packed: PackedBits,
     tile_masks: Sequence[np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Unpack the planes to float32 and multiply with BLAS (exact for the
-    0/1 dot products below 2^24 that packing guarantees)."""
-    m, n = a_packed.logical_vectors, b_packed.logical_vectors
-    out = np.empty((a_packed.bits, b_packed.bits, m, n), dtype=np.int64)
-    a_planes = a_packed.to_planes().astype(np.float32)  # (ba, M, K)
-    b_planes = b_packed.to_planes().astype(np.float32)  # (bb, K, N)
-    for i in range(a_packed.bits):
-        for j in range(b_packed.bits):
-            out[i, j] = (a_planes[i] @ b_planes[j]).astype(np.int64)
-    return out
+    """Recombine both operands' codes and multiply once with BLAS, in the
+    narrowest exact float dtype (:func:`repro.core.bitgemm.bitgemm_recombined`)."""
+    return bitgemm_recombined(a_packed, b_packed)
 
 
 def _run_sparse(
@@ -83,7 +92,7 @@ def _run_sparse(
     of each A plane; bit-identical to ``packed`` (skipped tiles contribute
     nothing to any dot product)."""
     m, n = a_packed.logical_vectors, b_packed.logical_vectors
-    out = np.empty((a_packed.bits, b_packed.bits, m, n), dtype=np.int64)
+    out = np.zeros((m, n), dtype=np.int64)
     grid = (a_packed.padded_vectors // 8, a_packed.k_words // 4)
     for i in range(a_packed.bits):
         # One census per A plane, consumed by every B plane in a single
@@ -98,14 +107,13 @@ def _run_sparse(
                 f"tile mask shape {mask.shape} does not match the "
                 f"{grid} tile grid of the plane"
             )
-        full = _sparse_plane_products(a_packed.plane(i), b_packed.words, mask)
-        out[i] = full[:, :m, :n]
+        full = _sparse_shift_products(a_packed.plane(i), b_packed.words, mask)
+        out += full[:m, :n] << i
     return out
 
 
-#: Left-operand bitwidth ceiling of the ``einsum`` backend: the unpacked
-#: int64 plane stack costs ``bits * M * K * 8`` bytes, so the backend is
-#: only registered as eligible for the low bitwidths the paper sweeps.
+#: Left-operand bitwidth ceiling of the ``einsum`` backend (the low
+#: bitwidths the paper sweeps).
 EINSUM_MAX_BITS = 8
 
 
@@ -114,18 +122,15 @@ def _run_einsum(
     b_packed: PackedBits,
     tile_masks: Sequence[np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Bit-serial einsum: every pairwise plane product in one contraction.
+    """One int64 ``np.einsum`` contraction over the recombined codes.
 
-    Unpacks both operands to 0/1 planes and contracts
-    ``(ba, M, K) x (bb, K, N) -> (ba, bb, M, N)`` with a single int64
-    ``np.einsum`` call — exact at any supported bitwidth (binary dot
-    products accumulate in int64) and free of the per-plane-pair Python
-    loop the dense engines pay, which is where it can win on small
-    low-bitwidth products.
+    Exact at any supported bitwidth (int64 arithmetic wraps exactly as
+    the int64 oracle does) and BLAS-free: the engine the tuner measures
+    against the float paths.
     """
-    a_planes = a_packed.to_planes().astype(np.int64)  # (ba, M, K)
-    b_planes = b_packed.to_planes().astype(np.int64)  # (bb, K, N)
-    return np.einsum("imk,jkn->ijmn", a_planes, b_planes, optimize=True)
+    a = recombine_codes(a_packed, np.int64)  # (M, K)
+    b = recombine_codes(b_packed, np.int64)  # (N, K)
+    return np.einsum("mk,nk->mn", a, b, optimize=True)
 
 
 #: Tile-census fraction below which the CSR backend considers itself a
@@ -134,7 +139,7 @@ def _run_einsum(
 #: per-*element* work, tile skipping per-*tile* work).
 CSR_MAX_FRACTION = 0.05
 #: Modeled CSR multiply throughput (nnz-driven multiply-adds per second)
-#: and per-plane-pair conversion overhead.
+#: and per-A-plane conversion overhead.
 CSR_NNZ_PER_S = 2.0e8
 CSR_PAIR_OVERHEAD_S = 400e-6
 
@@ -146,23 +151,21 @@ def _run_csr(
 ) -> np.ndarray:
     """Compressed-sparse-row aggregation for extreme-sparsity operands.
 
-    Unpacks the single A plane into a scipy CSR matrix and multiplies it
-    against each unpacked B plane — exact int64 arithmetic throughout, so
-    bit-identical to the dense engines.  Only reachable when scipy is
-    installed (the backend is not registered otherwise).
+    Each A plane becomes a scipy CSR matrix multiplied against B's
+    recombined int64 codes and shift-accumulated at its bit position —
+    exact int64 arithmetic throughout, so bit-identical to the dense
+    engines.  Only reachable when scipy is installed (the backend is not
+    registered otherwise).
     """
     sparse = _scipy_sparse()
     if sparse is None:  # pragma: no cover - registration is import-guarded
         raise ShapeError("csr backend requires scipy, which is not installed")
     m, n = a_packed.logical_vectors, b_packed.logical_vectors
-    out = np.empty((a_packed.bits, b_packed.bits, m, n), dtype=np.int64)
-    a_planes = a_packed.to_planes().astype(np.int64)  # (ba, M, K)
-    b_planes = b_packed.to_planes().astype(np.int64)  # (bb, K, N)
+    out = np.zeros((m, n), dtype=np.int64)
+    b_codes = recombine_codes(b_packed, np.int64).T  # (K, N)
     for i in range(a_packed.bits):
-        csr = sparse.csr_matrix(a_planes[i])
-        for j in range(b_packed.bits):
-            product = csr @ b_planes[j]
-            out[i, j] = np.asarray(product, dtype=np.int64).reshape(m, n)
+        csr = sparse.csr_matrix(recombine_codes(a_packed, np.int64, (i, i + 1)))
+        out += np.asarray(csr @ b_codes, dtype=np.int64).reshape(m, n) << i
     return out
 
 
@@ -178,7 +181,7 @@ def _run_tensorcore8(
 ) -> np.ndarray:
     """Host stand-in for the modeled int8 Tensor-Core path.
 
-    Numerically this is the exact ``blas`` plane-pair product (the model
+    Numerically this is the exact ``blas`` recombined product (the model
     backend must stay bit-identical so differential sweeps cover it); its
     *price* is what differs — the cuBLAS-like device time model — which
     is how the tuner prices the paper's hardware comparison point.
@@ -196,20 +199,33 @@ def _price_packed(ctx: PriceContext) -> BackendPrice:
     )
 
 
+def _recombined_bytes(ctx: PriceContext) -> tuple[int, ExactMatmulPlan]:
+    """Working set of the recombined-code engines: the code matrices the
+    exact matmul plan materializes, at its chosen dtype."""
+    spec = ctx.spec
+    plan = exact_matmul_plan(spec.k, spec.bits_a, spec.bits_b)
+    return plan.code_bytes(spec.m, spec.k, spec.n), plan
+
+
+def _over_budget(ctx: PriceContext, nbytes: int) -> bool:
+    return ctx.blas_bytes_budget is not None and nbytes > ctx.blas_bytes_budget
+
+
 def _price_blas(ctx: PriceContext) -> BackendPrice:
-    r, spec = ctx.rates, ctx.spec
-    plane_bytes = 4 * (
-        spec.bits_a * spec.m * spec.k + spec.bits_b * spec.k * spec.n
-    )
+    # One matmul of the recombined codes (one per chunk pair when float64
+    # cannot hold the product): a single plane pair's FLOPs, at half the
+    # float32 rate once the exactness bound forces float64 — the price no
+    # longer scales with bits_a * bits_b.
+    r = ctx.rates
+    code_bytes, plan = _recombined_bytes(ctx)
+    matmul_flops = ctx.flops / ctx.pairs * plan.dtype.itemsize / 4
     seconds = (
-        ctx.pairs * r.blas_pair_overhead_s
-        + ctx.flops / r.blas_flops
-        + plane_bytes / r.unpack_bytes_per_s
+        plan.matmuls * (r.blas_pair_overhead_s + matmul_flops / r.blas_flops)
+        + code_bytes / r.unpack_bytes_per_s
     )
-    vetoed = (
-        ctx.blas_bytes_budget is not None and plane_bytes > ctx.blas_bytes_budget
+    return BackendPrice(
+        seconds=seconds, bytes=code_bytes, vetoed=_over_budget(ctx, code_bytes)
     )
-    return BackendPrice(seconds=seconds, bytes=plane_bytes, vetoed=vetoed)
 
 
 def _price_sparse(ctx: PriceContext) -> BackendPrice:
@@ -231,24 +247,21 @@ def _price_sparse(ctx: PriceContext) -> BackendPrice:
 
 
 def _price_einsum(ctx: PriceContext) -> BackendPrice:
+    # One int64 contraction of the recombined codes: 8 bytes per code
+    # element (twice blas's float32 footprint), charged against the same
+    # unpack throughput and the same memory budget — a measured-fast
+    # einsum must not smuggle an allocation past the veto that would have
+    # stopped blas at half the size.
     r, spec = ctx.rates, ctx.spec
-    # int64 plane stacks: 8 bytes per unpacked element (twice blas's
-    # float32 footprint), charged against the same unpack throughput and
-    # the same memory budget — a measured-fast einsum must not smuggle an
-    # allocation past the veto that would have stopped blas at half the
-    # size.
-    plane_bytes = 8 * (
-        spec.bits_a * spec.m * spec.k + spec.bits_b * spec.k * spec.n
-    )
+    code_bytes = 8 * spec.k * (spec.m + spec.n)
     seconds = (
         r.einsum_call_overhead_s
-        + ctx.flops / r.einsum_flops
-        + plane_bytes / r.unpack_bytes_per_s
+        + ctx.flops / ctx.pairs / r.einsum_flops
+        + code_bytes / r.unpack_bytes_per_s
     )
-    vetoed = (
-        ctx.blas_bytes_budget is not None and plane_bytes > ctx.blas_bytes_budget
+    return BackendPrice(
+        seconds=seconds, bytes=code_bytes, vetoed=_over_budget(ctx, code_bytes)
     )
-    return BackendPrice(seconds=seconds, bytes=plane_bytes, vetoed=vetoed)
 
 
 def _price_csr(ctx: PriceContext) -> BackendPrice:
@@ -272,10 +285,11 @@ def _price_tensorcore8(ctx: PriceContext) -> BackendPrice:
     from ..baselines.cublas_like import cublas_int8_gemm_time
 
     spec = ctx.spec
+    code_bytes, _ = _recombined_bytes(ctx)
     if min(spec.m, spec.k, spec.n) < 1:
-        return BackendPrice(seconds=math.inf, vetoed=True)
+        return BackendPrice(seconds=math.inf, bytes=code_bytes, vetoed=True)
     breakdown = cublas_int8_gemm_time(spec.m, spec.k, spec.n)
-    return BackendPrice(seconds=breakdown.total_s, vetoed=True)
+    return BackendPrice(seconds=breakdown.total_s, bytes=code_bytes, vetoed=True)
 
 
 def builtin_backends() -> tuple[Backend, Backend, Backend, Backend]:
@@ -285,7 +299,7 @@ def builtin_backends() -> tuple[Backend, Backend, Backend, Backend]:
     return (
         Backend(
             name="packed",
-            run_planes=_run_packed,
+            run=_run_packed,
             caps=BackendCaps(
                 summary="word-at-a-time popcount(a & b) on the uint32 storage"
             ),
@@ -293,15 +307,15 @@ def builtin_backends() -> tuple[Backend, Backend, Backend, Backend]:
         ),
         Backend(
             name="blas",
-            run_planes=_run_blas,
+            run=_run_blas,
             caps=BackendCaps(
-                summary="unpack planes to float32, exact BLAS matmul"
+                summary="recombine codes, one exact float BLAS matmul"
             ),
             pricer=_price_blas,
         ),
         Backend(
             name="sparse",
-            run_planes=_run_sparse,
+            run=_run_sparse,
             caps=BackendCaps(
                 consumes_tile_masks=True,
                 summary="zero-tile-skipping popcount over non-zero 8x128 tiles",
@@ -310,11 +324,11 @@ def builtin_backends() -> tuple[Backend, Backend, Backend, Backend]:
         ),
         Backend(
             name="einsum",
-            run_planes=_run_einsum,
+            run=_run_einsum,
             caps=BackendCaps(
                 max_bits_a=EINSUM_MAX_BITS,
                 max_bits_b=EINSUM_MAX_BITS,
-                summary="bit-serial int64 einsum over unpacked planes "
+                summary="int64 einsum over recombined codes "
                 "(low bitwidths)",
             ),
             pricer=_price_einsum,
@@ -338,7 +352,7 @@ def extension_backends() -> tuple[Backend, ...]:
         backends.append(
             Backend(
                 name="csr",
-                run_planes=_run_csr,
+                run=_run_csr,
                 caps=BackendCaps(
                     max_bits_a=1,
                     consumes_tile_masks=False,
@@ -351,7 +365,7 @@ def extension_backends() -> tuple[Backend, ...]:
     backends.append(
         Backend(
             name="tensorcore8",
-            run_planes=_run_tensorcore8,
+            run=_run_tensorcore8,
             caps=BackendCaps(
                 max_bits_a=TENSORCORE8_MAX_BITS,
                 max_bits_b=TENSORCORE8_MAX_BITS,

@@ -18,7 +18,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.bitgemm import reduce_plane_products
 from ..core.bitpack import PackedBits, pack_matrix
 from ..errors import ShapeError
 from .ir import GemmSpec, GemmStep, compile_gemm_step
@@ -90,8 +89,7 @@ def execute_gemm_plan(
     backend = (default_registry() if registry is None else registry).get(
         step.backend
     )
-    partial = backend.run_planes(a_packed, b_packed, tile_masks)
-    return reduce_plane_products(partial)
+    return backend.run(a_packed, b_packed, tile_masks)
 
 
 def execute_gemm_plan_codes(

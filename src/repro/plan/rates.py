@@ -27,25 +27,26 @@ class HostRates:
     packed_flops:
         Sustained effective bit-FLOP/s of the packed AND+popcount engine.
     blas_flops:
-        Sustained float32 BLAS FLOP/s on plane products.
+        Sustained float32 BLAS FLOP/s (float64 runs at half of it).
     packed_pair_overhead_s:
         Per plane-pair dispatch overhead (row-block loop, temporaries).
     blas_pair_overhead_s:
-        Per plane-pair BLAS call + epilogue overhead.
+        Per BLAS matmul call + epilogue overhead (one call per product,
+        one per chunk pair when float64 cannot hold it exactly).
     unpack_bytes_per_s:
-        Plane unpack throughput (``np.unpackbits`` + float32 cast).
+        Code recombination throughput (``np.unpackbits``, plane shift-OR
+        and the float cast), per byte of recombined code matrix.
     sparse_group_overhead_s:
         Per tile-row-group overhead of the sparse engine (census lookup,
         operand gather, row scatter).  A block-diagonal batch has roughly
         one group per member ~= ``1/fraction`` groups.
     einsum_flops:
-        Sustained int64 contraction FLOP/s of the bit-serial ``einsum``
-        backend (one ``np.einsum`` over all unpacked planes — no BLAS, so
-        more than an order of magnitude below ``blas_flops``; the tuned
-        dispatch table is what discovers where it actually wins).
+        Sustained int64 contraction FLOP/s of the ``einsum`` backend (one
+        ``np.einsum`` over the recombined codes — no BLAS, so more than an
+        order of magnitude below ``blas_flops``; the tuned dispatch table
+        is what discovers where it actually wins).
     einsum_call_overhead_s:
-        Fixed unpack + einsum dispatch overhead per product (one call
-        covers every plane pair, unlike the per-pair dense loops).
+        Fixed recombine + einsum dispatch overhead per product.
     """
 
     packed_flops: float = 3.2e10

@@ -3,8 +3,8 @@
 :mod:`repro.core.bitgemm` historically hard-coded its three engines behind
 string literals.  Here an engine is a :class:`Backend` — a named object
 carrying capability metadata (:class:`BackendCaps`: bitwidth eligibility,
-operand-layout requirements), the plane-product implementation, and an
-optional cost pricer — registered by name in a :class:`BackendRegistry`.
+operand-layout requirements), the GEMM implementation (which returns the
+reduced, exact ``(M, N)`` product), and an optional cost pricer — registered by name in a :class:`BackendRegistry`.
 
 The existing ``engine=`` string/callable API everywhere in the repo is a
 compatibility shim over this registry: literal names are looked up,
@@ -37,7 +37,7 @@ __all__ = [
     "BackendCaps",
     "BackendPrice",
     "BackendRegistry",
-    "PlaneRunner",
+    "GemmRunner",
     "PriceContext",
     "Pricer",
     "default_registry",
@@ -90,8 +90,8 @@ class BackendPrice:
     #: Estimated host seconds (``inf`` when the backend cannot price the
     #: product, e.g. the sparse engine without an observed census).
     seconds: float
-    #: Working-set bytes the estimate charges (the blas engine's unpacked
-    #: float32 plane temporaries; 0 when not applicable).
+    #: Working-set bytes the estimate charges (the blas engine's
+    #: recombined code matrices; 0 when not applicable).
     bytes: int = 0
     #: True when the backend is excluded by a resource budget rather than
     #: by time (the blas memory veto).
@@ -121,7 +121,7 @@ class PriceContext:
     #: Measured non-zero tile fraction of the left operand, when a census
     #: has been observed for exactly this product's shape.
     tile_fraction: float | None = None
-    #: Byte budget for unpacked plane temporaries (the blas/einsum memory
+    #: Byte budget for recombined code matrices (the blas/einsum memory
     #: veto); ``None`` disables the veto.
     blas_bytes_budget: int | None = None
     #: Measured timing table consulted *before* the analytic pricer
@@ -134,9 +134,9 @@ class PriceContext:
         return self.spec.bits_a * self.spec.bits_b
 
 
-#: Plane-product implementation: ``(a_packed, b_packed, tile_masks) ->``
-#: int64 array of shape ``(bits_a, bits_b, M, N)`` on the logical shapes.
-PlaneRunner = Callable[
+#: GEMM implementation: ``(a_packed, b_packed, tile_masks) ->`` the exact
+#: int64 product, shape ``(M, N)`` on the logical shapes.
+GemmRunner = Callable[
     ["PackedBits", "PackedBits", "Sequence[np.ndarray] | None"], np.ndarray
 ]
 #: Cost pricer: modeled host seconds (and veto state) for one product.
@@ -152,9 +152,13 @@ class Backend:
     name:
         Registry key; also the string the ``engine=`` compatibility shim
         and :data:`~repro.core.bitgemm.EngineSelector` callables use.
-    run_planes:
-        The implementation: all pairwise 1-bit plane products of two
-        packed operands (see :data:`PlaneRunner`).
+    run:
+        The implementation (see :data:`GemmRunner`): the reduced, exact
+        int64 ``(M, N)`` product of two packed operands — never a stack of
+        plane products.  The host fast path (``blas``) multiplies
+        recombined codes once; the bit-serial engines (``packed``,
+        ``sparse``) and the TC emulator's tile loop shift-accumulate plane
+        products in their own loops, the faithful form of paper §3/§4.
     caps:
         Capability metadata consulted before pricing/execution.
     pricer:
@@ -163,7 +167,7 @@ class Backend:
     """
 
     name: str
-    run_planes: PlaneRunner
+    run: GemmRunner
     caps: BackendCaps = field(default_factory=BackendCaps)
     pricer: Pricer | None = None
 

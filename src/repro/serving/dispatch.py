@@ -11,15 +11,14 @@ which prices each product by handing every eligible registered backend a
 plus the calibrated :class:`~repro.plan.rates.HostRates` — and picking
 the cheapest answer:
 
-* both dense engines pay a per-plane-pair call overhead plus padded
-  bit-FLOPs divided by a sustained rate (the packed popcount path is
-  several times slower per FLOP than BLAS, measured on the shipped
-  workloads);
-* the BLAS engine additionally pays to unpack the planes — and is vetoed
-  outright when its float32 plane temporaries
-  (``bits_a*M*K + bits_b*K*N`` floats) would exceed ``blas_bytes_budget``,
-  the regime where the packed engine's 32x denser operands win by not
-  thrashing memory;
+* the packed engine pays a per-plane-pair call overhead plus padded
+  bit-FLOPs (every plane pair) divided by a sustained popcount rate;
+* the BLAS engine multiplies recombined codes once, so it pays one call
+  overhead plus a *single* plane pair's FLOPs (doubled when the
+  exactness bound forces float64), plus recombining the codes — and is
+  vetoed outright when its code matrices (``M*K + K*N`` elements at the
+  chosen dtype) would exceed ``blas_bytes_budget``, the regime where the
+  packed engine's 32x denser operands win by not thrashing memory;
 * the sparse engine pays the packed rate on only the *measured* non-zero
   tile fraction of the left operand, plus a per-tile-row-group gather
   overhead.  The fraction is an observation, not a guess: the serving
@@ -119,19 +118,19 @@ class CostModelDispatcher:
     # subclass recalibrations keep working.  New code passes ``rates=``.
     #: Sustained effective bit-FLOP/s of the packed AND+popcount engine.
     PACKED_FLOPS = 3.2e10
-    #: Sustained float32 BLAS FLOP/s on plane products.
+    #: Sustained float32 BLAS FLOP/s.
     BLAS_FLOPS = 5.5e10
     #: Per plane-pair dispatch overhead (row-block loop, temporaries).
     PACKED_PAIR_OVERHEAD_S = 60e-6
-    #: Per plane-pair BLAS call + epilogue overhead.
+    #: Per BLAS matmul call + epilogue overhead.
     BLAS_PAIR_OVERHEAD_S = 25e-6
-    #: Plane unpack throughput (``np.unpackbits`` + float32 cast).
+    #: Code recombination throughput (unpack, shift-OR, float cast).
     UNPACK_BYTES_PER_S = 2.5e9
     #: Per tile-row-group overhead of the sparse engine (census lookup,
     #: operand gather, row scatter).  A block-diagonal batch has roughly
     #: one group per member ~= ``1/fraction`` groups.
     SPARSE_GROUP_OVERHEAD_S = 150e-6
-    #: Sustained int64 contraction FLOP/s of the bit-serial einsum backend.
+    #: Sustained int64 contraction FLOP/s of the einsum backend.
     EINSUM_FLOPS = 2.0e9
     #: Fixed unpack + dispatch overhead per einsum product.
     EINSUM_CALL_OVERHEAD_S = 120e-6

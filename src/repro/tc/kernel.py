@@ -15,9 +15,11 @@ Two execution paths produce **identical** results and counters:
   bmma is performed one tile at a time.  O(python) per tile, so tests use
   small shapes.
 * :meth:`BitGemmKernel.run` — the fast path.  The functional result comes
-  from the vectorized packed/BLAS engine (zero tiles contribute nothing, so
-  skipping them never changes the product), and the counters are derived in
-  closed form from the *measured* per-plane zero-tile masks.  The test
+  from a registered host engine's reduced product (the ``blas`` fast path
+  multiplies recombined codes once; zero tiles contribute nothing, so
+  skipping them never changes the product), and the counters are derived
+  in closed form from the *measured* per-plane zero-tile masks — they
+  describe the bit-serial §4 kernel whichever engine computed the bits.  The test
   suite asserts tile-loop and fast-path equality on both outputs.
 """
 

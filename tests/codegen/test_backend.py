@@ -11,21 +11,13 @@ from repro.codegen import (
     kernel_cache_segment,
     prepare_plan_kernels,
 )
-from repro.core.bitgemm import matmul_int_reference, reduce_plane_products
 from repro.core.bitpack import pack_matrix, tile_nonzero_mask
 from repro.errors import ConfigError, ShapeError
 from repro.gnn import make_batched_gin
 from repro.graph import induced_subgraphs
 from repro.graph.generators import planted_partition_graph
 from repro.partition import metis_like_partition
-from repro.plan import (
-    GemmSpec,
-    PlanCache,
-    autotune,
-    bucket_for,
-    default_registry,
-)
-from repro.plan.autotune import synthesize_operands
+from repro.plan import DispatchTable, GemmSpec, PlanCache
 from repro.serving import InferenceEngine, ServingConfig
 from repro.serving.dispatch import CostModelDispatcher
 
@@ -199,31 +191,65 @@ class TestServingReplay:
 
 
 class TestAutotuneRouting:
-    @pytest.mark.timeout(120)
-    def test_autotune_routes_a_bucket_to_codegen(self):
-        # The acceptance-mode check: on measurements alone (conservative
-        # analytic price never prefers codegen), at least one censused
-        # aggregation bucket must route to the compiled kernels.
-        rng = np.random.default_rng(0)
-        spec = GemmSpec(m=512, k=512, n=32, bits_a=1, bits_b=2)
-        fraction = 0.25
-        table = autotune([(spec, fraction)], passes=3, seed=0)
-        bucket = bucket_for(spec, fraction)
-        medians = {
-            name: table.median(bucket, name)
-            for name in table.backends(bucket)
-            if table.median(bucket, name) is not None
-        }
-        assert "codegen" in medians
+    #: The codegen routing bucket of ``benchmarks/test_codegen_kernels.py``
+    #: plus a dense multi-bit update bucket, each with its own winner.
+    AGGREGATE = (GemmSpec(m=512, k=512, n=32, bits_a=1, bits_b=2), 0.25)
+    UPDATE = (GemmSpec(m=512, k=64, n=32, bits_a=8, bits_b=8), None)
+
+    @staticmethod
+    def _route(table, spec, fraction):
         dispatcher = CostModelDispatcher(table=table)
-        dispatcher.observe_tile_fraction(fraction, nodes=spec.m)
-        decision = dispatcher.decide(
-            spec.m, spec.k, spec.n, spec.bits_a, spec.bits_b
+        if fraction is not None:
+            dispatcher.observe_tile_fraction(fraction, nodes=spec.m)
+        return dispatcher.decide(
+            spec.m, spec.k, spec.n, spec.bits_a, spec.bits_b, explore=False
         )
-        # The tuned table must route this bucket to the measured winner;
-        # the codegen kernels win it on this workload class.
-        assert decision.engine == min(medians, key=medians.get)
-        assert decision.engine == "codegen"
+
+    @staticmethod
+    def _table(samples):
+        """A table holding exactly the injected ``(spec, fraction) ->
+        {backend: seconds}`` samples (three identical samples per cell)."""
+        table = DispatchTable(min_samples=3)
+        for (spec, fraction), medians in samples.items():
+            for name, seconds in medians.items():
+                for _ in range(3):
+                    table.record_spec(spec, name, seconds, tile_fraction=fraction)
+        return table
+
+    def test_routing_follows_the_table(self):
+        # Routing is a pure function of the measured medians: each bucket
+        # goes to its own fastest sample — codegen where its samples win,
+        # although its conservative analytic price never would.
+        table = self._table(
+            {
+                self.AGGREGATE: {
+                    "blas": 2e-6, "sparse": 3e-6, "codegen": 1e-6, "packed": 9e-6,
+                },
+                self.UPDATE: {"blas": 1e-6, "packed": 4e-6, "codegen": 5e-6},
+            }
+        )
+        aggregate = self._route(table, *self.AGGREGATE)
+        assert aggregate.engine == "codegen"
+        assert aggregate.tuned
+        assert aggregate.prices["codegen"].seconds == pytest.approx(1e-6)
+        update = self._route(table, *self.UPDATE)
+        assert update.engine == "blas"
+        assert update.tuned
+
+    @pytest.mark.parametrize("winner", ["blas", "sparse", "packed", "codegen"])
+    def test_fastest_sample_wins_the_bucket(self, winner):
+        medians = {"blas": 5e-6, "sparse": 6e-6, "packed": 7e-6, "codegen": 8e-6}
+        medians[winner] = 1e-6
+        table = self._table({self.AGGREGATE: medians})
+        assert self._route(table, *self.AGGREGATE).engine == winner
+
+    def test_unmeasured_bucket_keeps_model_routing(self):
+        # Samples for one bucket never leak into another: without a
+        # measurement the codegen bucket prices (and routes) analytically.
+        table = self._table({self.UPDATE: {"codegen": 1e-9}})
+        decision = self._route(table, *self.AGGREGATE)
+        assert decision.engine != "codegen"
+        assert not decision.tuned
 
     def test_analytic_price_is_conservative(self):
         # Without measurements the dispatcher must keep its historical

@@ -97,7 +97,7 @@ class TestGemmSchedules:
             )
             assert program.schedule == ("degenerate-empty",)
             out = compile_program(program)(None, None)
-            assert out.shape == (1, 2, m, n)
+            assert out.shape == (m, n)
 
     def test_rejects_mask_on_multibit_left_operand(self):
         with pytest.raises(ShapeError):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.core.bitgemm import (
     bitgemm,
     bitgemm_codes,
-    bitgemm_planes,
     bmm_plane_blas,
     bmm_plane_packed,
     matmul_int_reference,
@@ -127,20 +126,35 @@ class TestBitGemm:
             bitgemm_codes(a, b, 3, 2, engine="cuda")
 
     def test_plane_products_shift_structure(self, rng):
-        # bitgemm_planes[i, j] must equal the plane-product GEMM; summing
-        # with shifts i+j reconstructs the product (Algorithm 1 line 10).
+        # Each packed plane GEMM BMM(A_i, B_j) shift-summed at i + j
+        # reconstructs the product (Algorithm 1 line 10) — the structure
+        # the bit-serial engines accumulate and bitgemm returns reduced.
         a = rng.integers(0, 4, (16, 128))
         b = rng.integers(0, 4, (128, 8))
         pa = pack_matrix(a, 2, layout="col")
         pb = pack_matrix(b, 2, layout="row")
-        partial = bitgemm_planes(pa, pb)
-        assert partial.shape == (2, 2, 16, 8)
         total = sum(
-            (partial[i, j].astype(np.int64) << (i + j))
+            bmm_plane_packed(pa.plane(i), pb.plane(j))[:16, :8] << (i + j)
             for i in range(2)
             for j in range(2)
         )
         np.testing.assert_array_equal(total, a @ b)
+        np.testing.assert_array_equal(bitgemm(pa, pb, engine="packed"), total)
+
+    def test_plane_products_match_scalar_oracle(self, rng):
+        # Entry (r, c) of the shift-summed plane products is Eq. 5/6
+        # applied to row r of A and column c of B.
+        a = rng.integers(0, 8, (8, 40))
+        b = rng.integers(0, 4, (40, 8))
+        pa = pack_matrix(a, 3, layout="col")
+        pb = pack_matrix(b, 2, layout="row")
+        out = bitgemm(pa, pb, engine="packed")
+        for r, c in [(0, 0), (3, 5), (7, 7)]:
+            assert out[r, c] == vector_dot_decomposed(a[r], b[:, c], 3, 2)
+            assert out[r, c] == sum(
+                scalar_mul_decomposed(int(x), int(y), 3, 2)
+                for x, y in zip(a[r], b[:, c])
+            )
 
     def test_zero_matrices(self):
         a = np.zeros((8, 128), np.int64)

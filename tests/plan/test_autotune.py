@@ -31,6 +31,7 @@ from repro.plan import (
 from repro.plan.autotune import (
     MAX_FRACTION_BAND,
     NO_CENSUS_BAND,
+    TABLE_FORMAT_VERSION,
     synthesize_operands,
 )
 from repro.serving.dispatch import CostModelDispatcher
@@ -193,8 +194,15 @@ class TestTunedPricing:
             assert price.vetoed, name
             assert price.source == "model"
             assert price.effective_s == math.inf
-        # einsum's int64 planes are twice blas's float32 footprint.
+        # Both charge their recombined code matrices: 8x8 bits at K=512
+        # exceed the float32 exactness bound, so blas's float64 codes are
+        # as wide as einsum's int64 ones ...
         ctx = self._ctx(spec)
+        code_elems = spec.k * (spec.m + spec.n)
+        assert registry.get("blas").price(ctx).bytes == 8 * code_elems
+        assert registry.get("einsum").price(ctx).bytes == 8 * code_elems
+        # ... while a 1x4-bit product stays float32, half einsum's width.
+        ctx = self._ctx(_spec())
         assert (
             registry.get("einsum").price(ctx).bytes
             == 2 * registry.get("blas").price(ctx).bytes
@@ -203,7 +211,7 @@ class TestTunedPricing:
     def test_pricerless_backend_becomes_routable_once_tuned(self):
         spec = _spec()
         oracle = Backend(
-            name="oracle", run_planes=lambda a, b, m=None: None
+            name="oracle", run=lambda a, b, m=None: None
         )
         registry = BackendRegistry(builtin_backends())
         registry.register(oracle)
@@ -334,6 +342,23 @@ class TestPersistence:
         payload["version"] = 99
         wrong_version.write_text(json.dumps(payload))
         assert "version" in DispatchTable.load(wrong_version).mismatch
+
+    def test_plane_pair_contract_table_is_refused(self, tmp_path):
+        # A version-1 table timed blas as bits_a*bits_b plane GEMMs; under
+        # the reduced-product contract those medians are many times too
+        # slow, so the file must load empty with the reason, not seed the
+        # dispatcher.
+        assert TABLE_FORMAT_VERSION == 2
+        payload = self._filled_table().to_payload()
+        payload["version"] = 1
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(payload))
+        with pytest.warns(RuntimeWarning, match="schema version 1 != 2"):
+            loaded = DispatchTable.load(path)
+        assert loaded.mismatch == "schema version 1 != 2"
+        assert len(loaded) == 0
+        with pytest.raises(ConfigError, match="schema version"):
+            DispatchTable.load(path, strict=True)
 
     def test_malformed_header_fields_degrade_not_raise(self, tmp_path):
         # Corrupted policy/counter fields are load failures like any other:

@@ -142,20 +142,10 @@ class TestCompileForwardPlan:
         from repro.plan import Backend, BackendRegistry, builtin_backends
 
         def oracle(a_packed, b_packed, tile_masks=None):
-            a_planes = a_packed.to_planes().astype(np.int64)
-            b_planes = b_packed.to_planes().astype(np.int64)
-            out = np.empty(
-                (a_packed.bits, b_packed.bits, a_packed.logical_vectors,
-                 b_packed.logical_vectors),
-                dtype=np.int64,
-            )
-            for i in range(a_packed.bits):
-                for j in range(b_packed.bits):
-                    out[i, j] = a_planes[i] @ b_planes[j]
-            return out
+            return a_packed.to_codes() @ b_packed.to_codes()
 
         registry = BackendRegistry(builtin_backends())
-        registry.register(Backend(name="oracle", run_planes=oracle))
+        registry.register(Backend(name="oracle", run=oracle))
         plan = compile_forward_plan(
             gcn, num_nodes=batch.num_nodes, feature_bits=4,
             engine="oracle", registry=registry,

@@ -27,22 +27,12 @@ from repro.plan import (
 
 
 def _reference_backend(name: str = "reference") -> Backend:
-    """A custom backend: unpack the planes and multiply in int64."""
+    """A custom backend: unpack the codes and multiply in int64."""
 
-    def run_planes(a_packed, b_packed, tile_masks=None):
-        a_planes = a_packed.to_planes().astype(np.int64)
-        b_planes = b_packed.to_planes().astype(np.int64)
-        out = np.empty(
-            (a_packed.bits, b_packed.bits, a_packed.logical_vectors,
-             b_packed.logical_vectors),
-            dtype=np.int64,
-        )
-        for i in range(a_packed.bits):
-            for j in range(b_packed.bits):
-                out[i, j] = a_planes[i] @ b_planes[j]
-        return out
+    def run(a_packed, b_packed, tile_masks=None):
+        return a_packed.to_codes() @ b_packed.to_codes()
 
-    return Backend(name=name, run_planes=run_planes,
+    return Backend(name=name, run=run,
                    caps=BackendCaps(summary="int64 oracle"))
 
 
@@ -90,7 +80,7 @@ class TestRegistry:
 
     def test_backend_name_must_be_string(self):
         with pytest.raises(ConfigError):
-            Backend(name="", run_planes=lambda a, b, m=None: None)
+            Backend(name="", run=lambda a, b, m=None: None)
 
 
 class TestCaps:
@@ -105,7 +95,7 @@ class TestCaps:
                 _reference_backend("wide"),
                 Backend(
                     name="narrow",
-                    run_planes=lambda a, b, m=None: None,
+                    run=lambda a, b, m=None: None,
                     caps=BackendCaps(max_bits_a=1),
                 ),
             ]
@@ -135,6 +125,65 @@ class TestPricing:
         price = BackendPrice(seconds=1.0, bytes=10, vetoed=True)
         assert price.effective_s == math.inf
         assert BackendPrice(seconds=1.0).effective_s == 1.0
+
+
+class TestRecombinedPricing:
+    """``blas`` prices one matmul of recombined codes, not a plane-pair
+    loop."""
+
+    @staticmethod
+    def _price(m, k, n, bits_a, bits_b, budget=None):
+        spec = GemmSpec(m, k, n, bits_a, bits_b)
+        ctx = PriceContext(
+            spec=spec,
+            flops=2.0 * m * k * n * spec.bits_a * spec.bits_b,
+            rates=HostRates(),
+            blas_bytes_budget=budget,
+        )
+        return default_registry().get("blas").price(ctx)
+
+    def test_price_does_not_scale_with_plane_pairs(self):
+        # Every bitwidth below the float32 exactness bound costs the same
+        # single float32 matmul; plane pairs went 1 -> 64.
+        one = self._price(256, 128, 64, 1, 1)
+        for bits_a, bits_b in [(1, 8), (4, 4), (8, 8)]:
+            assert 128 * ((1 << bits_a) - 1) * ((1 << bits_b) - 1) < 1 << 24
+            price = self._price(256, 128, 64, bits_a, bits_b)
+            assert price.seconds == pytest.approx(one.seconds)
+            assert price.bytes == one.bytes
+
+    def test_float64_costs_twice_the_matmul_not_the_pairs(self):
+        r = HostRates()
+        m, k, n = 256, 512, 64
+        f32 = self._price(m, k, n, 1, 1)
+        f64 = self._price(m, k, n, 8, 8)  # 512 * 255^2 >= 2^24
+        assert f64.bytes == 2 * f32.bytes
+        matmul_s = 2.0 * m * k * n / r.blas_flops
+        assert f64.seconds - f32.seconds == pytest.approx(
+            matmul_s + (f64.bytes - f32.bytes) / r.unpack_bytes_per_s
+        )
+
+    def test_one_bit_price_unchanged(self):
+        # The plane-pair formula at one pair: call overhead + FLOPs at the
+        # BLAS rate + float32 unpack of both operands.
+        r = HostRates()
+        m, k, n = 300, 700, 90
+        price = self._price(m, k, n, 1, 1)
+        plane_bytes = 4 * (m * k + k * n)
+        assert price.bytes == plane_bytes
+        assert price.seconds == pytest.approx(
+            r.blas_pair_overhead_s
+            + 2.0 * m * k * n / r.blas_flops
+            + plane_bytes / r.unpack_bytes_per_s
+        )
+
+    def test_memory_veto_charges_recombined_codes(self):
+        # 8x8 bits at K=64 stay float32: the veto sees 4 bytes per code
+        # element, not bits_a + bits_b unpacked planes.
+        m, k, n = 256, 64, 256
+        code_bytes = 4 * k * (m + n)
+        assert not self._price(m, k, n, 8, 8, budget=code_bytes).vetoed
+        assert self._price(m, k, n, 8, 8, budget=code_bytes - 1).vetoed
 
 
 class TestResolveEngineName:

@@ -42,7 +42,7 @@ class TestCostModelDispatcher:
         assert not CostModelDispatcher().decide(512, 512, 64, 8, 8).memory_vetoed
 
     def test_huge_unpack_footprint_vetoed_by_default(self):
-        # 8-bit x 8-bit at 8192^2: float32 plane temporaries > 2 GB.
+        # 8-bit x 8-bit at 8192^2: float64 code matrices of 1 GB.
         decision = CostModelDispatcher().decide(8192, 8192, 8192, 8, 8)
         assert decision.memory_vetoed
         assert decision.engine == "packed"
@@ -51,7 +51,9 @@ class TestCostModelDispatcher:
         decision = CostModelDispatcher().decide(128, 256, 32, 2, 4)
         assert decision.packed_s > 0
         assert decision.blas_s > 0
-        assert decision.blas_bytes == 4 * (2 * 128 * 256 + 4 * 256 * 32)
+        # One float32 code matrix per operand (256 * 3 * 15 < 2^24), not
+        # bits_a + bits_b unpacked planes.
+        assert decision.blas_bytes == 4 * (128 * 256 + 256 * 32)
 
     def test_invalid_budget(self):
         with pytest.raises(ConfigError):

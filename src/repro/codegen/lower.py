@@ -68,6 +68,15 @@ TEMP_BUDGET_BYTES = 32 * 1024 * 1024
 #: uint64 AND word + uint8 popcount byte per widened element.
 _TEMP_BYTES_PER_ELEM = 9
 
+#: Largest ``m * n * k`` of one BLAS call in the skip kernel.  The bundled
+#: OpenBLAS runs gemm on one thread up to about 2^19 (measured: a 64 x 128
+#: x 64 float32 product takes the same 4 us with 1 or 2 threads); above
+#: that it wakes worker threads, and on a host whose cores are busy each
+#: such call can stall for a scheduler time slice (4-20 ms measured on a
+#: 2-core host).  The skip kernel issues one call per live column, so it
+#: row-blocks every call below this size.
+SERIAL_BLAS_MNK = 1 << 19
+
 
 def _row_block(rows: int, bytes_per_row: int) -> int:
     """Largest multiple-of-8 row block whose temporaries fit the budget."""
@@ -313,7 +322,9 @@ def _lower_gemm_skip(
     for c in columns:
         tile_rows = np.flatnonzero(mask[:, c])
         rows = (tile_rows[:, None] * 8 + np.arange(8)).ravel()
-        block, is_slice = _column_stmts(c, rows, n=n, dtype=dtype, env=env)
+        block, is_slice = _column_stmts(
+            c, rows, n=n, dtype=plan.dtype, env=env
+        )
         sliced += is_slice
         body.append(block)
     body.append(Line(f"return out[:{m}].astype(np.int64)"))
@@ -351,20 +362,22 @@ def _column_stmts(
     rows: np.ndarray,
     *,
     n: int,
-    dtype: str,
+    dtype: np.dtype,
     env: dict[str, np.ndarray],
 ) -> tuple[Block, int]:
     """Emit one live k-tile column's statements; returns (block, sliced)."""
     run = _contiguous_run(rows)
     # Unpacked uint8 bits + float operand + float partial product per row.
-    rb = _row_block(int(rows.size), bytes_per_row=TC_K * 5 + n * 8)
+    item = dtype.itemsize
+    rb = _row_block(int(rows.size), bytes_per_row=TC_K * (1 + item) + n * item)
+    rb = max(8, min(rb, SERIAL_BLAS_MNK // (TC_K * max(n, 1)) // 8 * 8))
     words = f"{c * TC_K // 8}:{(c + 1) * TC_K // 8}"
     b_rows = f"bk[{c * TC_K}:{(c + 1) * TC_K}]"
 
     def product(rows_expr: str) -> Line:
         return Line(
             f"out[{rows_expr}] += np.unpackbits(a8[{rows_expr}, {words}], "
-            f"axis=-1, bitorder='little').astype({dtype}) @ {b_rows}"
+            f"axis=-1, bitorder='little').astype(np.{dtype.name}) @ {b_rows}"
         )
 
     label = f"k-tile column {c}: {rows.size} surviving rows"

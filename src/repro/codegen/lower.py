@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.bitgemm import exact_matmul_plan
+from ..core.bitgemm import SERIAL_BLAS_MNK, exact_matmul_plan
 from ..core.bitpack import TC_K, TC_M, pad_to
 from ..core.bitops import WORD_BITS
 from ..errors import ShapeError
@@ -67,15 +67,6 @@ TEMP_BUDGET_BYTES = 32 * 1024 * 1024
 
 #: uint64 AND word + uint8 popcount byte per widened element.
 _TEMP_BYTES_PER_ELEM = 9
-
-#: Largest ``m * n * k`` of one BLAS call in the skip kernel.  The bundled
-#: OpenBLAS runs gemm on one thread up to about 2^19 (measured: a 64 x 128
-#: x 64 float32 product takes the same 4 us with 1 or 2 threads); above
-#: that it wakes worker threads, and on a host whose cores are busy each
-#: such call can stall for a scheduler time slice (4-20 ms measured on a
-#: 2-core host).  The skip kernel issues one call per live column, so it
-#: row-blocks every call below this size.
-SERIAL_BLAS_MNK = 1 << 19
 
 
 def _row_block(rows: int, bytes_per_row: int) -> int:
@@ -370,6 +361,7 @@ def _column_stmts(
     # Unpacked uint8 bits + float operand + float partial product per row.
     item = dtype.itemsize
     rb = _row_block(int(rows.size), bytes_per_row=TC_K * (1 + item) + n * item)
+    # One call per live column: keep each on the calling thread.
     rb = max(8, min(rb, SERIAL_BLAS_MNK // (TC_K * max(n, 1)) // 8 * 8))
     words = f"{c * TC_K // 8}:{(c + 1) * TC_K // 8}"
     b_rows = f"bk[{c * TC_K}:{(c + 1) * TC_K}]"

@@ -33,7 +33,9 @@ never a stack of plane products.  How it gets there differs:
   (:func:`bitgemm_recombined`), in the narrowest float dtype whose
   exactness bound ``K (2^s - 1)(2^t - 1)`` the product fits
   (:func:`exact_matmul_plan`), splitting the bits into chunks only when
-  even float64 cannot hold it.
+  even float64 cannot hold it.  The multiply runs in blocks small enough
+  that BLAS keeps each call on the calling thread
+  (:data:`SERIAL_BLAS_MNK`).
 * ``"einsum"`` — one int64 ``np.einsum`` contraction over the recombined
   codes: exact at any bitwidth, BLAS-free.
 
@@ -78,7 +80,9 @@ __all__ = [
     "ENGINE_NAMES",
     "Engine",
     "EngineSelector",
+    "CODE_BLOCK_BYTES",
     "ExactMatmulPlan",
+    "SERIAL_BLAS_MNK",
     "scalar_mul_decomposed",
     "vector_dot_decomposed",
     "bmm_plane_packed",
@@ -312,6 +316,25 @@ def bmm_plane_blas(a_plane: np.ndarray, b_plane: np.ndarray) -> np.ndarray:
     return (a.astype(np.float32) @ b.astype(np.float32).T).astype(np.int64)
 
 
+#: Largest ``m * n * k`` of one float BLAS call on the host paths.  The
+#: bundled OpenBLAS ran gemm on the calling thread up to 2^18 at every
+#: aspect ratio measured; at 2^19 some shapes already wake a worker thread
+#: (2048 x 16 x 16 and 64 x 128 x 64 do, 16 x 2048 x 16 does not).  A
+#: woken worker spins for ~80 ms after the call returns, taking the other
+#: core from whatever else runs, and a large threaded call stalls
+#: whenever that core is busy (a 2048-node dynamic-graph round whose
+#: 2048 x 2048 x 16 products ran as single calls went from a 6 to a 15 ms
+#: median under one CPU hog, measured on a 2-core host).  Blocking every
+#: call below this size keeps a product's cost independent of what else
+#: the host runs.
+SERIAL_BLAS_MNK = 1 << 18
+
+#: Bytes of float codes :func:`bitgemm_recombined` recombines per row
+#: block of ``A`` (about an L2 cache): recombining and multiplying block by
+#: block keeps the codes cache-resident, and fewer, larger recombine calls
+#: than :data:`SERIAL_BLAS_MNK` slices keep the per-call overhead small.
+CODE_BLOCK_BYTES = 1 << 18
+
 #: Exactness limits of the float matmul dtypes, narrowest first: a sum of
 #: non-negative integer products whose total stays below the limit is
 #: exact in any summation order (every partial sum is an integer the dtype
@@ -396,6 +419,7 @@ def recombine_codes(
     packed: PackedBits,
     dtype: np.dtype | type = np.int64,
     planes: tuple[int, int] | None = None,
+    vectors: tuple[int, int] | None = None,
 ) -> np.ndarray:
     """Integer codes recombined from packed bit planes ``[lo, hi)``.
 
@@ -403,12 +427,18 @@ def recombine_codes(
     ``(logical_vectors, logical_k)`` grid — the rows of ``A`` for a
     column-compressed operand, the columns of ``B`` (``B`` transposed) for
     a row-compressed one — cast to ``dtype``.  ``planes`` defaults to
-    every plane.
+    every plane, ``vectors`` (a ``[start, stop)`` range of those rows) to
+    every logical vector.
     """
     lo, hi = (0, packed.bits) if planes is None else planes
     if not 0 <= lo < hi <= packed.bits:
         raise ShapeError(f"plane range {(lo, hi)} outside [0, {packed.bits})")
-    words = np.ascontiguousarray(packed.words[lo:hi, : packed.logical_vectors])
+    start, stop = (0, packed.logical_vectors) if vectors is None else vectors
+    if not 0 <= start <= stop <= packed.logical_vectors:
+        raise ShapeError(
+            f"vector range {(start, stop)} outside [0, {packed.logical_vectors}]"
+        )
+    words = np.ascontiguousarray(packed.words[lo:hi, start:stop])
     bits = np.unpackbits(
         words.view(np.uint8), axis=-1, count=packed.logical_k, bitorder="little"
     )
@@ -430,24 +460,42 @@ def bitgemm_recombined(a_packed: PackedBits, b_packed: PackedBits) -> np.ndarray
     ``bits_a * bits_b`` plane GEMMs this recombines each operand's codes
     and multiplies them once, in the dtype :func:`exact_matmul_plan`
     derives from ``K`` and the bitwidths (chunk pairs shift-accumulate
-    when even float64 cannot hold the product).  The host fast path of
+    when even float64 cannot hold the product).  ``A``'s codes are
+    recombined one cache-sized row block at a time
+    (:data:`CODE_BLOCK_BYTES`), and each block is multiplied in row (and,
+    when one row alone is too large, column) slices of at most
+    :data:`SERIAL_BLAS_MNK`, so the float codes never stream through
+    memory and no BLAS call wakes a worker thread.  The host fast path of
     the ``blas`` engine; the bit-serial engines keep the paper's
     decomposed form.
     """
-    plan = exact_matmul_plan(a_packed.logical_k, a_packed.bits, b_packed.bits)
-    if plan.matmuls == 1:
-        a = recombine_codes(a_packed, plan.dtype)
-        b = recombine_codes(b_packed, plan.dtype)
-        return (a @ b.T).astype(np.int64)
-    out = np.zeros((a_packed.logical_vectors, b_packed.logical_vectors), np.int64)
-    b_chunks = [
-        (lo, recombine_codes(b_packed, plan.dtype, (lo, hi)))
-        for lo, hi in plan.chunks_b
-    ]
-    for a_lo, a_hi in plan.chunks_a:
-        a = recombine_codes(a_packed, plan.dtype, (a_lo, a_hi))
-        for b_lo, b in b_chunks:
-            out += (a @ b.T).astype(np.int64) << (a_lo + b_lo)
+    k = a_packed.logical_k
+    plan = exact_matmul_plan(k, a_packed.bits, b_packed.bits)
+    m, n = a_packed.logical_vectors, b_packed.logical_vectors
+    out = np.zeros((m, n), np.int64)
+    cols = max(1, min(n, SERIAL_BLAS_MNK // max(k, 1)))
+    rows = max(1, SERIAL_BLAS_MNK // (max(k, 1) * cols))
+    block = rows * max(1, CODE_BLOCK_BYTES // max(rows * k * plan.dtype.itemsize, 1))
+    col_slices = [slice(c0, c0 + cols) for c0 in range(0, n, cols)]
+    b_chunks = []  # (low bit, [(column slice, B codes of those columns)])
+    for lo, hi in plan.chunks_b:
+        b = recombine_codes(b_packed, plan.dtype, (lo, hi)).T
+        b_chunks.append((lo, [(cs, b[:, cs]) for cs in col_slices]))
+    buffer = np.empty((min(block, m), n), plan.dtype)
+    for r0 in range(0, m, block):
+        r1 = min(m, r0 + block)
+        product = buffer[: r1 - r0]
+        for a_lo, a_hi in plan.chunks_a:
+            a = recombine_codes(a_packed, plan.dtype, (a_lo, a_hi), (r0, r1))
+            for b_lo, b_cols in b_chunks:
+                for s0 in range(0, r1 - r0, rows):
+                    rs = slice(s0, s0 + rows)
+                    for cs, b in b_cols:
+                        np.matmul(a[rs], b, out=product[rs, cs])
+                if plan.matmuls == 1:
+                    out[r0:r1] = product
+                else:
+                    out[r0:r1] += product.astype(np.int64) << (a_lo + b_lo)
     return out
 
 

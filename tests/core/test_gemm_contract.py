@@ -11,10 +11,13 @@ product, and on empty and padding-hostile shapes.
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 
 from repro.core.bitgemm import (
+    SERIAL_BLAS_MNK,
     bitgemm_recombined,
     exact_matmul_plan,
     matmul_int_reference,
@@ -23,6 +26,9 @@ from repro.core.bitgemm import (
 from repro.core.bitpack import pack_matrix
 from repro.errors import ShapeError
 from repro.plan import GemmSpec, default_registry
+
+# The module, not the ``bitgemm`` function ``repro.core`` re-exports.
+gemm_module = importlib.import_module("repro.core.bitgemm")
 
 
 def _run_all(a, b, bits_a, bits_b, context=""):
@@ -101,6 +107,78 @@ class TestEveryBackendIsExact:
         _run_all(a, b, 3, 4, f"shape={shape}")
 
 
+class _MatmulSpy(np.ndarray):
+    """Recombined codes that record the ``(m, k, n)`` of every matmul."""
+
+    calls: list[tuple[int, int, int]] = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        inputs = tuple(np.asarray(x) for x in inputs)
+        if "out" in kwargs:
+            kwargs["out"] = tuple(np.asarray(x) for x in kwargs["out"])
+        if ufunc is np.matmul:
+            (m, k), n = inputs[0].shape, inputs[1].shape[1]
+            _MatmulSpy.calls.append((m, k, n))
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+class TestSerialBlasBlocking:
+    """The recombined product never issues a BLAS call above the serial
+    cap, and blocking never changes a bit."""
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        recombine = gemm_module.recombine_codes
+        monkeypatch.setattr(
+            gemm_module,
+            "recombine_codes",
+            lambda *args: recombine(*args).view(_MatmulSpy),
+        )
+        _MatmulSpy.calls = []
+        return _MatmulSpy.calls
+
+    @pytest.mark.parametrize(
+        "shape, bits",
+        [
+            ((300, 2048, 16), (1, 4)),  # row blocks only
+            ((5, 4096, 200), (1, 1)),  # one row exceeds the cap: column blocks
+            ((40, 64, 9), (32, 16)),  # chunk pairs, each blocked
+        ],
+        ids=str,
+    )
+    def test_every_call_under_the_cap(self, spy, shape, bits):
+        m, k, n = shape
+        rng = np.random.default_rng(m * k + n)
+        a = rng.integers(0, 1 << bits[0], (m, k), dtype=np.int64)
+        b = rng.integers(0, 1 << bits[1], (k, n), dtype=np.int64)
+        got = bitgemm_recombined(
+            pack_matrix(a, bits[0], layout="col"),
+            pack_matrix(b, bits[1], layout="row"),
+        )
+        np.testing.assert_array_equal(got, matmul_int_reference(a, b))
+        assert spy and max(mm * kk * nn for mm, kk, nn in spy) <= SERIAL_BLAS_MNK
+        if m * k * n > SERIAL_BLAS_MNK:
+            assert len(spy) > exact_matmul_plan(k, *bits).matmuls
+
+    @pytest.mark.parametrize("block_bytes", [1, 3000, 1 << 18])
+    @pytest.mark.parametrize("cap", [1, 7, 100, 5000])
+    @pytest.mark.parametrize(
+        "shape", [(23, 131, 11), (1, 300, 40), (17, 0, 5), (0, 9, 4)], ids=str
+    )
+    def test_ragged_blocks_are_exact(self, monkeypatch, block_bytes, cap, shape):
+        monkeypatch.setattr(gemm_module, "SERIAL_BLAS_MNK", cap)
+        monkeypatch.setattr(gemm_module, "CODE_BLOCK_BYTES", block_bytes)
+        m, k, n = shape
+        rng = np.random.default_rng(cap + m + k + n)
+        a = rng.integers(0, 8, (m, k), dtype=np.int64)
+        b = rng.integers(0, 4, (k, n), dtype=np.int64)
+        got = bitgemm_recombined(
+            pack_matrix(a, 3, layout="col"), pack_matrix(b, 2, layout="row")
+        )
+        assert got.shape == (m, n) and got.dtype == np.int64
+        np.testing.assert_array_equal(got, matmul_int_reference(a, b))
+
+
 class TestExactMatmulPlan:
     @pytest.mark.parametrize(
         "k,bits_a,bits_b", [(64, 32, 16), (1 << 20, 32, 32), (4096, 24, 24)]
@@ -149,6 +227,17 @@ class TestRecombineCodes:
         )
         with pytest.raises(ShapeError):
             recombine_codes(pa, np.int64, (5, 10))
+
+    def test_vector_range(self, rng):
+        a = rng.integers(0, 1 << 5, (13, 40), dtype=np.int64)
+        pa = pack_matrix(a, 5, layout="col")
+        np.testing.assert_array_equal(
+            recombine_codes(pa, np.int64, (1, 4), (2, 11)), (a[2:11] >> 1) & 0x7
+        )
+        assert recombine_codes(pa, np.float32, vectors=(6, 6)).shape == (0, 40)
+        for bad in [(5, 14), (7, 6), (-1, 3)]:
+            with pytest.raises(ShapeError):
+                recombine_codes(pa, np.int64, vectors=bad)
 
     def test_recombined_product_matches_plane_sum(self, rng):
         a = rng.integers(0, 1 << 5, (12, 200), dtype=np.int64)
